@@ -17,8 +17,8 @@
 //! * [`RpEngine`] — the **relativistic** engine: the index is an
 //!   [`rp_hash::RpHashMap`]; GETs are wait-free lookups that copy the value
 //!   inside the read-side critical section; writes serialise on the map's
-//!   writer lock; expiry is lazy and eviction is approximate-LRU, both on
-//!   the slow path.
+//!   writer lock; expiry is lazy and eviction is exact LRU through an
+//!   amortised victim queue, both on the slow path.
 //! * [`ShardedRpEngine`] — the **sharded relativistic** engine: the index
 //!   is an [`rp_shard::ShardedRpMap`], so SETs and index resizes only
 //!   contend within one shard and multi-key GETs use the batched,

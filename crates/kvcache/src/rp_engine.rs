@@ -1,9 +1,11 @@
 //! The relativistic engine: wait-free GETs over an [`RpHashMap`] index.
 
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use parking_lot::Mutex;
 use rp_hash::{FnvBuildHasher, ResizePolicy, RpHashMap};
 
 use crate::engine::{CacheEngine, CacheStats, EngineReadCtx, StoreOutcome};
@@ -56,10 +58,11 @@ pub(crate) fn classify_probe(
 }
 
 /// An index that can be probed by a raw hash + borrowed key bytes under
-/// either read-side witness — the seam that lets both engines share one
+/// either read-side witness, swept, pruned and written to — the seam that
+/// lets every relativistic engine share one
 /// [`CacheEngine::get_ref`](crate::CacheEngine::get_ref) body
-/// ([`probe_ref`] + [`settle_probe`]) instead of copy-pasting the
-/// dispatch and accounting.
+/// ([`probe_ref`] + [`settle_probe`]) and one eviction and purge path
+/// ([`EngineCore`]) instead of copy-pasting the dispatch and accounting.
 pub(crate) trait ByteKeyIndex {
     /// Raw lookup: `hash` must be [`str_bytes_hash`] of `key`.
     fn probe<'g, P: rp_hash::ReadProtect>(
@@ -71,22 +74,75 @@ pub(crate) trait ByteKeyIndex {
 
     /// Pins an EBR guard for the fallback flavor.
     fn pin_guard(&self) -> rp_rcu::RcuGuard<'static>;
-}
 
-impl ByteKeyIndex for RpHashMap<String, Arc<StoredItem>, FnvBuildHasher> {
-    fn probe<'g, P: rp_hash::ReadProtect>(
+    /// Number of entries (a racy snapshot under concurrent writers).
+    fn len(&self) -> usize;
+
+    /// Every entry, visited under `guard`.
+    fn entries<'g>(
         &'g self,
-        hash: u64,
-        key: &[u8],
-        protect: &'g P,
-    ) -> Option<&'g Arc<StoredItem>> {
-        self.get_matching_prehashed(hash, |k| k.as_bytes() == key, protect)
-    }
+        guard: &'g rp_rcu::RcuGuard<'static>,
+    ) -> impl Iterator<Item = (&'g String, &'g Arc<StoredItem>)>;
 
-    fn pin_guard(&self) -> rp_rcu::RcuGuard<'static> {
-        self.pin()
-    }
+    /// Writer-side insert, replacing any previous value of `key`.
+    fn insert(&self, key: String, stored: Arc<StoredItem>);
+
+    /// Writer-side removal of `key`; returns whether it was present.
+    fn remove(&self, key: &str) -> bool;
+
+    /// Writer-side removal of every entry `keep` rejects.
+    fn retain(&self, keep: impl FnMut(&StoredItem) -> bool);
 }
+
+/// The three indexes expose the same inherent API, so one impl body
+/// serves them all.
+macro_rules! impl_byte_key_index {
+    ($($index:ty),+ $(,)?) => {$(
+        impl ByteKeyIndex for $index {
+            fn probe<'g, P: rp_hash::ReadProtect>(
+                &'g self,
+                hash: u64,
+                key: &[u8],
+                protect: &'g P,
+            ) -> Option<&'g Arc<StoredItem>> {
+                self.get_matching_prehashed(hash, |k| k.as_bytes() == key, protect)
+            }
+
+            fn pin_guard(&self) -> rp_rcu::RcuGuard<'static> {
+                self.pin()
+            }
+
+            fn len(&self) -> usize {
+                <$index>::len(self)
+            }
+
+            fn entries<'g>(
+                &'g self,
+                guard: &'g rp_rcu::RcuGuard<'static>,
+            ) -> impl Iterator<Item = (&'g String, &'g Arc<StoredItem>)> {
+                self.iter(guard)
+            }
+
+            fn insert(&self, key: String, stored: Arc<StoredItem>) {
+                <$index>::insert(self, key, stored);
+            }
+
+            fn remove(&self, key: &str) -> bool {
+                <$index>::remove(self, key)
+            }
+
+            fn retain(&self, mut keep: impl FnMut(&StoredItem) -> bool) {
+                <$index>::retain(self, |_, stored| keep(stored))
+            }
+        }
+    )+};
+}
+
+impl_byte_key_index!(
+    RpHashMap<String, Arc<StoredItem>, FnvBuildHasher>,
+    rp_shard::ShardedRpMap<String, Arc<StoredItem>>,
+    rp_splitorder::SplitOrderMap<String, Arc<StoredItem>, FnvBuildHasher>,
+);
 
 /// Probes `index` for `key` through the context's read-side flavor — the
 /// barrier-free QSBR handle when the worker has one, a pinned EBR guard
@@ -136,16 +192,35 @@ pub(crate) fn settle_probe(
     }
 }
 
-/// The bookkeeping both relativistic engines share — the capacity
-/// configuration, the approximate-LRU clock, and the operation counters —
-/// plus the stats/expiry/LRU logic over them, written once. An engine
-/// contributes its index type and the handful of index calls; everything
-/// that used to be copy-pasted between [`RpEngine`](crate::RpEngine) and
-/// [`ShardedRpEngine`](crate::ShardedRpEngine) lives here.
+/// How many victims one sweep queues: enough that the sweep's cost is
+/// spread over many evicting SETs, few enough that the queued keys stay a
+/// small fraction of the cache.
+fn victim_batch(capacity: usize) -> usize {
+    (capacity / 16).clamp(16, 1024)
+}
+
+/// The bookkeeping every relativistic engine shares — the capacity
+/// configuration, the LRU clock, the eviction victim queue and the
+/// operation counters — plus the SET, eviction, purge and GET accounting
+/// logic over them, written once. [`RpEngine`](crate::RpEngine),
+/// [`ShardedRpEngine`](crate::ShardedRpEngine) and
+/// [`SplitOrderEngine`](crate::SplitOrderEngine) each contribute only
+/// their index type (through [`ByteKeyIndex`]) and their GET paths.
 pub(crate) struct EngineCore {
-    pub(crate) config: EngineConfig,
-    pub(crate) clock: AtomicU64,
+    config: EngineConfig,
+    clock: AtomicU64,
     pub(crate) stats: CacheStats,
+    /// `(key, stamp)` of the stalest entries a sweep saw, stalest last.
+    ///
+    /// The lock serialises evictors; lock order is victim queue → index
+    /// writer lock. Blocking on it cannot hold up a grace period: a holder
+    /// that is an online QSBR reader never waits for one (the index
+    /// postpones resizes and reclamation from such a thread), and EBR
+    /// setters are not pinned while they wait here or remove (the sweep's
+    /// guard is dropped before any removal). An unpinned EBR holder may
+    /// still run an inline resize or reclamation inside `remove`, exactly
+    /// as it may under the index writer lock this lock nests over.
+    victims: Mutex<Vec<(String, u64)>>,
 }
 
 impl EngineCore {
@@ -157,28 +232,30 @@ impl EngineCore {
             },
             clock: AtomicU64::new(0),
             stats: CacheStats::default(),
+            victims: Mutex::new(Vec::new()),
         }
     }
 
-    /// Next approximate-LRU access stamp.
+    /// Next LRU access stamp. One shared `fetch_add` clock, so stamps are
+    /// unique and only grow.
     pub(crate) fn stamp(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Wraps `item` for storage, or `None` if it exceeds the per-item size
-    /// limit (the shared SET admission check).
-    pub(crate) fn admit(&self, item: Item) -> Option<Arc<StoredItem>> {
+    /// The shared SET: the per-item size check, an insert that replaces
+    /// any previous value, then eviction back under capacity.
+    pub(crate) fn set(&self, index: &impl ByteKeyIndex, key: &str, item: Item) -> StoreOutcome {
         if item.len() > self.config.max_item_size {
-            return None;
+            return StoreOutcome::NotStored;
         }
-        Some(Arc::new(StoredItem {
+        let stored = Arc::new(StoredItem {
             item,
             last_access: AtomicU64::new(self.stamp()),
-        }))
-    }
-
-    pub(crate) fn note_set(&self) {
+        });
+        index.insert(key.to_string(), stored);
+        self.evict_if_needed(index);
         self.stats.bump(&self.stats.sets);
+        StoreOutcome::Stored
     }
 
     pub(crate) fn note_delete(&self, removed: bool) -> bool {
@@ -197,40 +274,84 @@ impl EngineCore {
         settle_probe(&self.stats, probe, remove_expired)
     }
 
-    /// Approximate LRU: collect `(key, stamp)` pairs, evict the stalest
-    /// entries until the cache is back under capacity. Runs on the writer
-    /// (SET) path only.
-    pub(crate) fn evict_if_needed(
-        &self,
-        len: impl Fn() -> usize,
-        candidates: impl Fn() -> Vec<(String, u64)>,
-        remove: impl Fn(&str) -> bool,
-    ) {
-        while len() > self.config.capacity {
-            let over = len() - self.config.capacity;
-            let mut candidates = candidates();
-            if candidates.is_empty() {
-                break;
-            }
-            candidates.sort_by_key(|(_, stamp)| *stamp);
-            for (key, _) in candidates.into_iter().take(over.max(1)) {
-                if remove(&key) {
-                    self.stats.bump(&self.stats.evictions);
+    /// Exact LRU, amortised: while the index is over capacity, evict the
+    /// stalest queued victim whose stamp is unchanged since the sweep that
+    /// queued it, refilling the queue by one sweep when it runs dry. Runs
+    /// on the writer (SET) path only.
+    ///
+    /// The victim is the one a full sort would pick: stamps are unique and
+    /// only grow, so any entry the sweep did not queue, and any entry
+    /// touched or re-set since, is newer than every queued entry whose
+    /// stamp still matches.
+    fn evict_if_needed(&self, index: &impl ByteKeyIndex) {
+        if index.len() <= self.config.capacity {
+            return;
+        }
+        let mut victims = self.victims.lock();
+        while index.len() > self.config.capacity {
+            let Some((key, stamp)) = victims.pop() else {
+                if self.refill_victims(index, &mut victims) {
+                    continue;
                 }
+                break;
+            };
+            let unchanged = {
+                let guard = index.pin_guard();
+                index
+                    .probe(str_bytes_hash(key.as_bytes()), key.as_bytes(), &guard)
+                    .is_some_and(|stored| stored.last_access.load(Ordering::Relaxed) == stamp)
+            };
+            // A changed stamp means the key was touched, re-set or deleted
+            // since the sweep: skip it.
+            if unchanged && index.remove(&key) {
+                self.stats.bump(&self.stats.evictions);
             }
         }
     }
 
-    /// Accounting for an eager purge sweep; returns `purged` back.
-    pub(crate) fn note_purged(&self, purged: usize) -> usize {
-        for _ in 0..purged {
-            self.stats.bump(&self.stats.expirations);
+    /// One sweep under a guard: selects the [`victim_batch`] stalest
+    /// entries on borrowed keys and clones only those keys into `victims`,
+    /// stalest last. Returns `false` if the index was empty.
+    fn refill_victims(&self, index: &impl ByteKeyIndex, victims: &mut Vec<(String, u64)>) -> bool {
+        let batch = victim_batch(self.config.capacity);
+        let guard = index.pin_guard();
+        // Max-heap on stamp: the top is the newest of the stalest so far.
+        let mut stalest: BinaryHeap<(u64, &str)> = BinaryHeap::with_capacity(batch);
+        for (key, stored) in index.entries(&guard) {
+            let stamp = stored.last_access.load(Ordering::Relaxed);
+            if stalest.len() < batch {
+                stalest.push((stamp, key));
+            } else if let Some(mut newest) = stalest.peek_mut() {
+                if stamp < newest.0 {
+                    *newest = (stamp, key);
+                }
+            }
         }
+        victims.extend(
+            stalest
+                .into_sorted_vec()
+                .into_iter()
+                .rev()
+                .map(|(stamp, key)| (key.to_owned(), stamp)),
+        );
+        !victims.is_empty()
+    }
+
+    /// Eager expiry sweep shared by every engine; returns how many items
+    /// it removed.
+    pub(crate) fn purge_expired(&self, index: &impl ByteKeyIndex) -> usize {
+        let now = Instant::now();
+        let before = index.len();
+        index.retain(|stored| !stored.item.is_expired(now));
+        let purged = before.saturating_sub(index.len());
+        self.stats
+            .expirations
+            .fetch_add(purged as u64, Ordering::Relaxed);
         purged
     }
 }
 
-/// A stored item plus its approximate-LRU access stamp.
+/// A stored item plus its LRU access stamp.
 ///
 /// The payload is immutable after publication; only the access stamp is
 /// updated by readers, with a relaxed store (the relativistic equivalent of
@@ -250,8 +371,9 @@ pub(crate) struct StoredItem {
 ///   expiry, eviction".
 /// * **SET / DELETE** go through the hash table's writer side (a mutex) and
 ///   retire replaced items through the RCU domain.
-/// * **Eviction** is approximate LRU: when the cache exceeds its capacity,
-///   the writer samples the table and evicts the stalest entries it saw.
+/// * **Eviction** is exact LRU on the SET path: when the cache exceeds its
+///   capacity, the writer evicts the stalest entry from a victim queue that
+///   one sweep of the table refills only when it runs dry.
 pub struct RpEngine {
     index: RpHashMap<String, Arc<StoredItem>, FnvBuildHasher>,
     core: EngineCore,
@@ -293,20 +415,6 @@ impl RpEngine {
     /// benchmark can confirm the table resizes itself under load).
     pub fn index_buckets(&self) -> usize {
         self.index.num_buckets()
-    }
-
-    fn evict_if_needed(&self) {
-        self.core.evict_if_needed(
-            || self.index.len(),
-            || {
-                let guard = self.index.pin();
-                self.index
-                    .iter(&guard)
-                    .map(|(k, v)| (k.clone(), v.last_access.load(Ordering::Relaxed)))
-                    .collect()
-            },
-            |key| self.index.remove(key),
-        );
     }
 }
 
@@ -365,13 +473,7 @@ impl CacheEngine for RpEngine {
     }
 
     fn set(&self, key: &str, item: Item) -> StoreOutcome {
-        let Some(stored) = self.core.admit(item) else {
-            return StoreOutcome::NotStored;
-        };
-        self.index.insert(key.to_string(), stored);
-        self.evict_if_needed();
-        self.core.note_set();
-        StoreOutcome::Stored
+        self.core.set(&self.index, key, item)
     }
 
     fn delete(&self, key: &str) -> bool {
@@ -394,11 +496,7 @@ impl CacheEngine for RpEngine {
     }
 
     fn purge_expired(&self) -> usize {
-        let now = Instant::now();
-        let before = self.index.len();
-        self.index.retain(|_, stored| !stored.item.is_expired(now));
-        self.core
-            .note_purged(before.saturating_sub(self.index.len()))
+        self.core.purge_expired(&self.index)
     }
 }
 
@@ -488,7 +586,8 @@ mod tests {
         }
         engine.set("k4", Item::new(0, "x"));
         assert_eq!(engine.len(), 4);
-        assert!(engine.stats().evicted() >= 1);
+        assert_eq!(engine.stats().evicted(), 1);
+        assert!(engine.get("k3").is_none(), "the coldest key is the victim");
         assert!(
             engine.get("k4").is_some(),
             "newly inserted key must survive"

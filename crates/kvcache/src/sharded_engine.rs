@@ -13,22 +13,7 @@ use rp_shard::{ShardPolicy, ShardedRpMap};
 
 use crate::engine::{CacheEngine, CacheStats, EngineReadCtx, StoreOutcome};
 use crate::item::Item;
-use crate::rp_engine::{classify_probe, ByteKeyIndex, EngineCore, RawProbe, StoredItem};
-
-impl ByteKeyIndex for ShardedRpMap<String, Arc<StoredItem>> {
-    fn probe<'g, P: rp_hash::ReadProtect>(
-        &'g self,
-        hash: u64,
-        key: &[u8],
-        protect: &'g P,
-    ) -> Option<&'g Arc<StoredItem>> {
-        self.get_matching_prehashed(hash, |k| k.as_bytes() == key, protect)
-    }
-
-    fn pin_guard(&self) -> rp_rcu::RcuGuard<'static> {
-        self.pin()
-    }
-}
+use crate::rp_engine::{classify_probe, EngineCore, RawProbe, StoredItem};
 
 /// A cache engine whose index is a [`ShardedRpMap`].
 ///
@@ -151,23 +136,6 @@ impl ShardedRpEngine {
         self.index.stats().shard_lens
     }
 
-    fn evict_if_needed(&self) {
-        // Approximate LRU, as in RpEngine (the logic is EngineCore's):
-        // sample everything under a guard, evict the stalest entries. Runs
-        // on the SET path only.
-        self.core.evict_if_needed(
-            || self.index.len(),
-            || {
-                let guard = self.index.pin();
-                self.index
-                    .iter(&guard)
-                    .map(|(k, v)| (k.clone(), v.last_access.load(Ordering::Relaxed)))
-                    .collect()
-            },
-            |key| self.index.remove(key),
-        );
-    }
-
     /// Applies the shared per-key accounting to a batched lookup's slots
     /// (`Some(Some(_))` live hit, `Some(None)` present-but-expired, `None`
     /// miss), removing expired entries through the writer side.
@@ -272,13 +240,7 @@ impl CacheEngine for ShardedRpEngine {
     }
 
     fn set(&self, key: &str, item: Item) -> StoreOutcome {
-        let Some(stored) = self.core.admit(item) else {
-            return StoreOutcome::NotStored;
-        };
-        self.index.insert(key.to_string(), stored);
-        self.evict_if_needed();
-        self.core.note_set();
-        StoreOutcome::Stored
+        self.core.set(&self.index, key, item)
     }
 
     fn delete(&self, key: &str) -> bool {
@@ -301,11 +263,7 @@ impl CacheEngine for ShardedRpEngine {
     }
 
     fn purge_expired(&self) -> usize {
-        let now = Instant::now();
-        let before = self.index.len();
-        self.index.retain(|_, stored| !stored.item.is_expired(now));
-        self.core
-            .note_purged(before.saturating_sub(self.index.len()))
+        self.core.purge_expired(&self.index)
     }
 
     fn observe_gauges(&self) {
@@ -400,8 +358,11 @@ mod tests {
         for i in 0..12 {
             engine.set(&format!("k{i}"), Item::new(0, "x"));
         }
-        assert!(engine.len() <= 8);
-        assert!(engine.stats().evicted() >= 4);
+        assert_eq!(engine.len(), 8);
+        assert_eq!(engine.stats().evicted(), 4);
+        for i in 0..4 {
+            assert!(engine.get(&format!("k{i}")).is_none(), "k{i} was stalest");
+        }
     }
 
     #[test]

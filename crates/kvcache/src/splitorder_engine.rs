@@ -2,7 +2,6 @@
 //! [`rp_splitorder::SplitOrderMap`] index — the competing resize
 //! philosophy, served behind the same [`CacheEngine`] seam.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -11,32 +10,15 @@ use rp_splitorder::SplitOrderMap;
 
 use crate::engine::{CacheEngine, CacheStats, EngineReadCtx, StoreOutcome};
 use crate::item::Item;
-use crate::rp_engine::{
-    classify_probe, probe_ref, str_bytes_hash, ByteKeyIndex, EngineCore, StoredItem,
-};
-
-impl ByteKeyIndex for SplitOrderMap<String, Arc<StoredItem>, FnvBuildHasher> {
-    fn probe<'g, P: rp_hash::ReadProtect>(
-        &'g self,
-        hash: u64,
-        key: &[u8],
-        protect: &'g P,
-    ) -> Option<&'g Arc<StoredItem>> {
-        self.get_matching_prehashed(hash, |k| k.as_bytes() == key, protect)
-    }
-
-    fn pin_guard(&self) -> rp_rcu::RcuGuard<'static> {
-        self.pin()
-    }
-}
+use crate::rp_engine::{classify_probe, probe_ref, str_bytes_hash, EngineCore, StoredItem};
 
 /// The split-ordered engine: the index is a lock-free split-ordered list,
 /// so **SETs and DELETEs never serialise on a writer lock** and index
 /// growth is a single pointer publication — no data movement, no
 /// grace-period wait. GETs are the same `ReadProtect`-generic wait-free
 /// lookups as the relativistic engines (EBR guard or barrier-free QSBR
-/// handle); expiry is lazy and eviction approximate-LRU, both on the
-/// writer-side slow path.
+/// handle); expiry is lazy and eviction exact LRU (the shared victim
+/// queue), both on the writer-side slow path.
 pub struct SplitOrderEngine {
     index: SplitOrderMap<String, Arc<StoredItem>, FnvBuildHasher>,
     core: EngineCore,
@@ -67,20 +49,6 @@ impl SplitOrderEngine {
     /// benchmarks can confirm the table splits itself under load).
     pub fn index_buckets(&self) -> usize {
         self.index.num_buckets()
-    }
-
-    fn evict_if_needed(&self) {
-        self.core.evict_if_needed(
-            || self.index.len(),
-            || {
-                let guard = self.index.pin();
-                self.index
-                    .iter(&guard)
-                    .map(|(k, v)| (k.clone(), v.last_access.load(Ordering::Relaxed)))
-                    .collect()
-            },
-            |key| self.index.remove(key),
-        );
     }
 }
 
@@ -127,16 +95,7 @@ impl CacheEngine for SplitOrderEngine {
     }
 
     fn set(&self, key: &str, item: Item) -> StoreOutcome {
-        let Some(stored) = self.core.admit(item) else {
-            return StoreOutcome::NotStored;
-        };
-        // Lock-free insert; a replaced item is retired through the
-        // deferred queue, and index growth (bucket splitting) never waits
-        // for a grace period.
-        self.index.insert(key.to_string(), stored);
-        self.evict_if_needed();
-        self.core.note_set();
-        StoreOutcome::Stored
+        self.core.set(&self.index, key, item)
     }
 
     fn delete(&self, key: &str) -> bool {
@@ -159,17 +118,14 @@ impl CacheEngine for SplitOrderEngine {
     }
 
     fn purge_expired(&self) -> usize {
-        let now = Instant::now();
-        let before = self.index.len();
-        self.index.retain(|_, stored| !stored.item.is_expired(now));
-        self.core
-            .note_purged(before.saturating_sub(self.index.len()))
+        self.core.purge_expired(&self.index)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
     use std::time::Duration;
 
     #[test]
@@ -236,7 +192,8 @@ mod tests {
         }
         engine.set("k4", Item::new(0, "x"));
         assert_eq!(engine.len(), 4);
-        assert!(engine.stats().evicted() >= 1);
+        assert_eq!(engine.stats().evicted(), 1);
+        assert!(engine.get("k3").is_none(), "the coldest key is the victim");
         assert!(
             engine.get("k4").is_some(),
             "newly inserted key must survive"
