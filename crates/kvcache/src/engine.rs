@@ -70,7 +70,8 @@ impl EngineReadCtx {
         }
     }
 
-    /// The EBR context (what [`crate::server::execute`] uses).
+    /// The EBR context (what the threaded server and
+    /// [`CacheEngine::get`] use).
     pub fn ebr() -> EngineReadCtx {
         EngineReadCtx::default()
     }
@@ -199,55 +200,42 @@ pub trait CacheEngine: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Looks up `key`, returning a copy of the item if present and not
-    /// expired.
-    fn get(&self, key: &str) -> Option<Item>;
+    /// expired. The default is [`CacheEngine::get_ref`] through an EBR
+    /// context.
+    fn get(&self, key: &str) -> Option<Item> {
+        self.get_ref(key.as_bytes(), &mut EngineReadCtx::ebr())
+    }
 
-    /// Looks up several keys, returning results in the same order.
-    ///
-    /// The default implementation loops over [`CacheEngine::get`]; engines
-    /// with a batched read path (the sharded relativistic engine groups
-    /// keys by shard and pins one guard per shard) override it. Multi-key
-    /// `get` protocol commands are served through this method.
+    /// Looks up several keys, returning results in the same order. The
+    /// default loops over [`CacheEngine::get`].
     fn get_many(&self, keys: &[&str]) -> Vec<Option<Item>> {
         keys.iter().map(|key| self.get(key)).collect()
     }
 
-    /// [`CacheEngine::get`] through an explicit read-side context.
-    ///
-    /// The default ignores the context and uses the engine's ordinary
-    /// (EBR) lookup; relativistic engines override it to serve
-    /// [`ReadSide::Qsbr`] contexts through their barrier-free QSBR path.
+    /// [`CacheEngine::get`] through an explicit read-side context. The
+    /// default is [`CacheEngine::get_ref`].
     fn get_via(&self, key: &str, ctx: &mut EngineReadCtx) -> Option<Item> {
-        let _ = ctx;
-        self.get(key)
+        self.get_ref(key.as_bytes(), ctx)
     }
 
-    /// [`CacheEngine::get_many`] through an explicit read-side context (see
-    /// [`CacheEngine::get_via`]).
-    ///
-    /// The default loops over [`CacheEngine::get_via`], so an engine that
-    /// overrides only the single-key method still serves batches through
-    /// its chosen flavor; engines with a batched read path (the sharded
-    /// engine) override this too.
+    /// [`CacheEngine::get_many`] through an explicit read-side context.
+    /// The default loops over [`CacheEngine::get_via`].
     fn get_many_via(&self, keys: &[&str], ctx: &mut EngineReadCtx) -> Vec<Option<Item>> {
         keys.iter().map(|key| self.get_via(key, ctx)).collect()
     }
 
-    /// [`CacheEngine::get_via`] keyed by raw bytes — the zero-allocation
-    /// lookup the event-loop server's borrowed request path uses, with the
-    /// key a slice straight out of the connection's read buffer.
+    /// The engine's one GET body: looks up `key` by raw bytes through the
+    /// read-side flavor of `ctx`, returning a copy of the item if present
+    /// and not expired. Both servers serve every GET key through it, with
+    /// the key a slice straight out of the connection's read buffer.
     ///
-    /// The default validates UTF-8 (a scan, not a copy) and delegates to
-    /// [`CacheEngine::get_via`]; the relativistic engines override it to
-    /// hash the bytes once and probe their `String`-keyed index through a
-    /// raw matching lookup, skipping even the validation scan. Keys that
-    /// are not valid UTF-8 cannot exist in the cache (every stored key came
-    /// from a validated command line), so they simply miss.
-    fn get_ref(&self, key: &[u8], ctx: &mut EngineReadCtx) -> Option<Item> {
-        std::str::from_utf8(key)
-            .ok()
-            .and_then(|key| self.get_via(key, ctx))
-    }
+    /// The relativistic engines hash the bytes once and probe their
+    /// `String`-keyed index through a raw matching lookup — a barrier-free
+    /// QSBR read for a [`ReadSide::Qsbr`] context, a pinned guard
+    /// otherwise. Keys that are not valid UTF-8 cannot exist in the cache
+    /// (every stored key came from a validated command line), so they
+    /// simply miss.
+    fn get_ref(&self, key: &[u8], ctx: &mut EngineReadCtx) -> Option<Item>;
 
     /// Housekeeping an external caller with a natural quiescent point can
     /// drive on the engine's behalf: postponed automatic index resizes and

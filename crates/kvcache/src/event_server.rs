@@ -49,8 +49,8 @@ use crate::server::{execute_ref_observed, ServerConfig};
 /// borrow from [`ConnIo::input`]), executed through the engines'
 /// byte-keyed [`CacheEngine::get_ref`] lookups, and their replies
 /// serialised straight into the connection's pooled output queue
-/// ([`ConnIo::out`]) — no owned `Command`, no intermediate `Vec<u8>`, no
-/// copy of a cached value smaller than the coalescing threshold. N
+/// ([`ConnIo::out`]) — no owned request, no intermediate `Vec<u8>`, no
+/// copy of a cached value larger than the coalescing threshold. N
 /// pipelined requests arriving in one read still produce N replies in one
 /// write.
 pub struct KvService {

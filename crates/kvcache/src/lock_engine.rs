@@ -103,45 +103,37 @@ impl CacheEngine for LockEngine {
         "default"
     }
 
-    fn get(&self, key: &str) -> Option<Item> {
-        let now = Instant::now();
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        match inner.map.get_mut(key) {
-            Some(slot) if !slot.item.is_expired(now) => {
-                slot.last_access = clock;
-                self.stats.bump(&self.stats.get_hits);
-                Some(slot.item.clone())
-            }
-            Some(_) => {
-                inner.map.remove(key);
-                self.stats.bump(&self.stats.expirations);
-                self.stats.bump(&self.stats.get_misses);
-                None
-            }
-            None => {
-                self.stats.bump(&self.stats.get_misses);
-                None
-            }
-        }
-    }
-
-    fn get_via(&self, key: &str, ctx: &mut EngineReadCtx) -> Option<Item> {
+    fn get_ref(&self, key: &[u8], ctx: &mut EngineReadCtx) -> Option<Item> {
         // The baseline has no relativistic read path — a lookup takes the
         // global lock whichever flavor the server picked. What it must
         // still honor is the QSBR discipline: a blocking lock acquisition
         // from an online QSBR thread would stall every writer's grace
         // period behind the lock queue, so the wait happens offline.
-        ctx.with_offline(|| self.get(key))
-    }
-
-    fn get_many_via(&self, keys: &[&str], ctx: &mut EngineReadCtx) -> Vec<Option<Item>> {
-        // One offline window for the whole batch — N keys pay the QSBR
-        // toggle once, mirroring the relativistic engines' one-window
-        // batches (except here the window covers lock waits, not
-        // barrier-free reads).
-        ctx.with_offline(|| keys.iter().map(|key| self.get(key)).collect())
+        ctx.with_offline(|| {
+            // Every stored key is valid UTF-8, so any other key misses.
+            let key = std::str::from_utf8(key).ok()?;
+            let now = Instant::now();
+            let mut inner = self.inner.lock();
+            inner.clock += 1;
+            let clock = inner.clock;
+            match inner.map.get_mut(key) {
+                Some(slot) if !slot.item.is_expired(now) => {
+                    slot.last_access = clock;
+                    self.stats.bump(&self.stats.get_hits);
+                    Some(slot.item.clone())
+                }
+                Some(_) => {
+                    inner.map.remove(key);
+                    self.stats.bump(&self.stats.expirations);
+                    self.stats.bump(&self.stats.get_misses);
+                    None
+                }
+                None => {
+                    self.stats.bump(&self.stats.get_misses);
+                    None
+                }
+            }
+        })
     }
 
     fn set(&self, key: &str, item: Item) -> StoreOutcome {

@@ -28,8 +28,9 @@ pub(crate) fn str_bytes_hash(bytes: &[u8]) -> u64 {
 }
 
 /// What a raw (byte-keyed) index probe found, with the LRU stamp already
-/// applied to a live hit — the shared classification behind both engines'
-/// [`CacheEngine::get_ref`](crate::CacheEngine::get_ref) paths, so the
+/// applied to a live hit — the shared classification behind every
+/// relativistic engine's
+/// [`CacheEngine::get_ref`](crate::CacheEngine::get_ref), so the
 /// hit/expired/miss accounting lives in exactly one place.
 pub(crate) enum RawProbe {
     /// A live item, copied out inside the read-side window.
@@ -42,11 +43,7 @@ pub(crate) enum RawProbe {
 }
 
 /// Classifies a probe result and stamps a live hit's access time.
-pub(crate) fn classify_probe(
-    stored: Option<&Arc<StoredItem>>,
-    now: Instant,
-    stamp: u64,
-) -> RawProbe {
+fn classify_probe(stored: Option<&Arc<StoredItem>>, now: Instant, stamp: u64) -> RawProbe {
     match stored {
         Some(stored) if !stored.item.is_expired(now) => {
             stored.last_access.store(stamp, Ordering::Relaxed);
@@ -61,7 +58,7 @@ pub(crate) fn classify_probe(
 /// either read-side witness, swept, pruned and written to — the seam that
 /// lets every relativistic engine share one
 /// [`CacheEngine::get_ref`](crate::CacheEngine::get_ref) body
-/// ([`probe_ref`] + [`settle_probe`]) and one eviction and purge path
+/// ([`probe_ref`] + [`EngineCore::settle`]) and one eviction and purge path
 /// ([`EngineCore`]) instead of copy-pasting the dispatch and accounting.
 pub(crate) trait ByteKeyIndex {
     /// Raw lookup: `hash` must be [`str_bytes_hash`] of `key`.
@@ -165,33 +162,6 @@ pub(crate) fn probe_ref(
     }
 }
 
-/// Applies the shared hit/miss/expired accounting for a raw probe.
-/// `remove_expired` is the engine-specific writer-side removal (cold
-/// path); it returns whether the expired entry was actually removed.
-pub(crate) fn settle_probe(
-    stats: &CacheStats,
-    probe: RawProbe,
-    remove_expired: impl FnOnce() -> bool,
-) -> Option<Item> {
-    match probe {
-        RawProbe::Live(item) => {
-            stats.bump(&stats.get_hits);
-            Some(item)
-        }
-        RawProbe::Miss => {
-            stats.bump(&stats.get_misses);
-            None
-        }
-        RawProbe::Expired => {
-            if remove_expired() {
-                stats.bump(&stats.expirations);
-            }
-            stats.bump(&stats.get_misses);
-            None
-        }
-    }
-}
-
 /// How many victims one sweep queues: enough that the sweep's cost is
 /// spread over many evicting SETs, few enough that the queued keys stay a
 /// small fraction of the cache.
@@ -205,7 +175,8 @@ fn victim_batch(capacity: usize) -> usize {
 /// logic over them, written once. [`RpEngine`](crate::RpEngine),
 /// [`ShardedRpEngine`](crate::ShardedRpEngine) and
 /// [`SplitOrderEngine`](crate::SplitOrderEngine) each contribute only
-/// their index type (through [`ByteKeyIndex`]) and their GET paths.
+/// their index type (through [`ByteKeyIndex`]) and a `get_ref` that calls
+/// [`probe_ref`] and [`EngineCore::settle`].
 pub(crate) struct EngineCore {
     config: EngineConfig,
     clock: AtomicU64,
@@ -265,13 +236,32 @@ impl EngineCore {
         removed
     }
 
-    /// Applies the shared hit/expired/miss accounting ([`settle_probe`]).
+    /// Applies the shared hit/expired/miss accounting for a raw probe.
+    /// `remove_expired` is the engine-specific writer-side removal (cold
+    /// path); it returns whether the expired entry was actually removed.
     pub(crate) fn settle(
         &self,
         probe: RawProbe,
         remove_expired: impl FnOnce() -> bool,
     ) -> Option<Item> {
-        settle_probe(&self.stats, probe, remove_expired)
+        let stats = &self.stats;
+        match probe {
+            RawProbe::Live(item) => {
+                stats.bump(&stats.get_hits);
+                Some(item)
+            }
+            RawProbe::Miss => {
+                stats.bump(&stats.get_misses);
+                None
+            }
+            RawProbe::Expired => {
+                if remove_expired() {
+                    stats.bump(&stats.expirations);
+                }
+                stats.bump(&stats.get_misses);
+                None
+            }
+        }
     }
 
     /// Exact LRU, amortised: while the index is over capacity, evict the
@@ -423,39 +413,6 @@ impl CacheEngine for RpEngine {
         "rp"
     }
 
-    fn get(&self, key: &str) -> Option<Item> {
-        let now = Instant::now();
-        let stamp = self.core.stamp();
-        // Fast path: a relativistic lookup. No locks, no waiting; the value
-        // is copied (cheaply — the payload is reference counted) while still
-        // inside the read-side critical section. An expired entry falls back
-        // to the writer-side slow path inside `settle`.
-        let probe = {
-            let guard = self.index.pin();
-            classify_probe(self.index.get(key, &guard), now, stamp)
-        };
-        self.core.settle(probe, || self.index.remove(key))
-    }
-
-    fn get_via(&self, key: &str, ctx: &mut EngineReadCtx) -> Option<Item> {
-        // Flavor check first: the EBR fallback computes its own timestamp
-        // and clock stamp inside `get`, so doing it here too would double
-        // that hot-path work.
-        let Some(handle) = ctx.qsbr_handle() else {
-            return self.get(key);
-        };
-        let now = Instant::now();
-        let stamp = self.core.stamp();
-        // The QSBR fast path: no guard, no fence — the lookup is free. The
-        // value is copied out while the context borrow (the quiescent
-        // window) is still open, exactly like the guard-scoped EBR path.
-        // Grace-period work a removal triggers is postponed while this
-        // thread is a QSBR reader — the background maintainer or reclaimer
-        // absorbs it.
-        let probe = classify_probe(self.index.get_qsbr(key, handle), now, stamp);
-        self.core.settle(probe, || self.index.remove(key))
-    }
-
     fn get_ref(&self, key: &[u8], ctx: &mut EngineReadCtx) -> Option<Item> {
         // One hashing pass over the borrowed key bytes serves the whole
         // lookup; the key is never copied and never re-validated.
@@ -466,6 +423,9 @@ impl CacheEngine for RpEngine {
         self.core.settle(probe, || {
             // Expired: remove through the writer side (cold path; the
             // UTF-8 view is free — stored keys are always valid UTF-8).
+            // From a QSBR reader the index postpones the grace-period work
+            // this triggers; the background maintainer or reclaimer absorbs
+            // it.
             std::str::from_utf8(key)
                 .map(|key| self.index.remove_prehashed(hash, key))
                 .unwrap_or(false)

@@ -1,6 +1,7 @@
 //! TCP servers speaking the memcached text protocol.
 //!
-//! Two front ends share one request-execution path ([`execute`]):
+//! Two front ends share one request-execution path ([`execute_ref`] over a
+//! [`RefDecoder`]):
 //!
 //! * [`CacheServer`] — the original thread-per-connection server, kept as
 //!   the baseline the event loop is benchmarked against.
@@ -22,9 +23,7 @@ use rp_net::BufWrite;
 
 use crate::engine::{CacheEngine, EngineReadCtx, ReadSide, StoreOutcome};
 use crate::event_server::EventServer;
-use crate::protocol::{
-    write_value_header, Command, Decoded, RefDecoder, RequestRef, Response, StatsSub,
-};
+use crate::protocol::{put_decimal, write_value_header, Decoded, RefDecoder, RequestRef, StatsSub};
 use crate::telemetry;
 
 /// Version string reported by the `version` command.
@@ -272,9 +271,8 @@ impl Drop for CacheServer {
 /// Runs the same borrowed request pipeline as the event loop
 /// ([`execute_ref`] over a [`RefDecoder`]): requests are decoded in place
 /// out of the connection's input buffer and replies serialised into one
-/// reusable response buffer, so a steady-state GET allocates nothing —
-/// there is no owned [`Command`] and no per-reply `Vec` on this path any
-/// more. The threaded server always reads through EBR (its blocking
+/// reusable response buffer, so a steady-state GET allocates nothing. The
+/// threaded server always reads through EBR (its blocking
 /// per-connection threads have no natural quiescent points).
 fn serve_connection(
     mut stream: TcpStream,
@@ -358,39 +356,117 @@ fn serve_connection(
 /// reply straight into `out`. Returns `true` when the connection should
 /// close (`quit`).
 ///
-/// This is the zero-allocation request pipeline the event-loop server
-/// runs: keys stay `&[u8]` slices into the connection's read buffer
+/// This is the zero-allocation request pipeline both servers run: keys
+/// stay `&[u8]` slices into the connection's read buffer
 /// ([`CacheEngine::get_ref`] hashes them once and probes the index with no
-/// copy), `VALUE` headers are written digit-by-digit into the connection's
-/// pooled output queue, and payloads ride as reference-counted [`Bytes`]
-/// (copied only when small enough that coalescing beats scatter-gather).
-/// A steady-state GET or miss performs no heap allocation at all; SETs
-/// allocate only the key and payload that go *into* the table. The cold
-/// commands (`stats`, `version`) still build owned [`Response`]s.
+/// copy), `VALUE` headers and `STAT` lines are written digit-by-digit into
+/// the connection's pooled output queue, and payloads ride as
+/// reference-counted [`Bytes`] (copied only when small enough that
+/// coalescing beats scatter-gather). A steady-state GET or miss performs
+/// no heap allocation at all; SETs allocate only the key and payload that
+/// go *into* the table.
 pub fn execute_ref(
     engine: &dyn CacheEngine,
     request: &RequestRef<'_>,
     ctx: &mut EngineReadCtx,
     out: &mut impl BufWrite,
 ) -> bool {
+    execute_phased(engine, request, ctx, out, &mut Unsampled)
+}
+
+/// Where [`execute_phased`] reports a request's opcode and phases.
+///
+/// Implemented twice: [`Unsampled`] compiles every hook away (no clock
+/// reads), and [`rp_obs::SlowSpan`] times the sampled requests. The engine
+/// call is the *index* phase, reply serialisation the *serialize* phase.
+trait Phases {
+    /// Tags the request's opcode and (first) key.
+    fn tag(&mut self, op: u64, key: Option<&[u8]>);
+    /// Runs the engine call `f` as (part of) the index phase.
+    fn index<R>(&mut self, f: impl FnOnce() -> R) -> R;
+    /// Runs `f`, which writes reply bytes, as (part of) the serialize
+    /// phase.
+    fn serialize(&mut self, f: impl FnOnce());
+}
+
+/// The phase recorder of an unsampled request: every hook is a no-op.
+struct Unsampled;
+
+impl Phases for Unsampled {
+    #[inline(always)]
+    fn tag(&mut self, _op: u64, _key: Option<&[u8]>) {}
+
+    #[inline(always)]
+    fn index<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        f()
+    }
+
+    #[inline(always)]
+    fn serialize(&mut self, f: impl FnOnce()) {
+        f()
+    }
+}
+
+impl Phases for rp_obs::SlowSpan {
+    fn tag(&mut self, op: u64, key: Option<&[u8]>) {
+        self.op = op;
+        self.key_hash = key.map_or(0, hash_key);
+    }
+
+    fn index<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        let timer = rp_obs::timer();
+        let result = f();
+        self.index_ns += rp_obs::elapsed_ns(timer).unwrap_or(0);
+        result
+    }
+
+    fn serialize(&mut self, f: impl FnOnce()) {
+        let timer = rp_obs::timer();
+        f();
+        self.serialize_ns += rp_obs::elapsed_ns(timer).unwrap_or(0);
+    }
+}
+
+/// Writes one `VALUE` block for a GET hit.
+fn write_value(out: &mut impl BufWrite, key: &[u8], item: crate::Item) {
+    write_value_header(out, key, item.flags, item.data.len());
+    out.put_shared(item.data);
+    out.put(b"\r\n");
+}
+
+/// The one GET/SET/DELETE execution body behind [`execute_ref`] and
+/// [`execute_ref_observed`]; `phases` decides whether the phases are
+/// timed. Cold opcodes (stats, version, quit) are tagged
+/// [`rp_obs::slow::OP_OTHER`] and run unphased.
+fn execute_phased(
+    engine: &dyn CacheEngine,
+    request: &RequestRef<'_>,
+    ctx: &mut EngineReadCtx,
+    out: &mut impl BufWrite,
+    phases: &mut impl Phases,
+) -> bool {
     match request {
         RequestRef::Get { key } => {
-            if let Some(item) = engine.get_ref(key, ctx) {
-                write_value_header(out, key, item.flags, item.data.len());
-                out.put_shared(item.data);
-                out.put(b"\r\n");
-            }
-            out.put(b"END\r\n");
+            phases.tag(rp_obs::slow::OP_GET, Some(*key));
+            let item = phases.index(|| engine.get_ref(key, ctx));
+            phases.serialize(|| {
+                if let Some(item) = item {
+                    write_value(out, key, item);
+                }
+                out.put(b"END\r\n");
+            });
         }
         RequestRef::GetMulti(keys) => {
+            phases.tag(rp_obs::slow::OP_GET, keys.iter().next());
             for key in keys.iter() {
-                if let Some(item) = engine.get_ref(key, ctx) {
-                    write_value_header(out, key, item.flags, item.data.len());
-                    out.put_shared(item.data);
-                    out.put(b"\r\n");
-                }
+                let item = phases.index(|| engine.get_ref(key, ctx));
+                phases.serialize(|| {
+                    if let Some(item) = item {
+                        write_value(out, key, item);
+                    }
+                });
             }
-            out.put(b"END\r\n");
+            phases.serialize(|| out.put(b"END\r\n"));
         }
         RequestRef::Set {
             key,
@@ -399,10 +475,11 @@ pub fn execute_ref(
             data,
             noreply,
         } => {
+            phases.tag(rp_obs::slow::OP_SET, Some(*key));
             // Keys are sub-slices of a validated UTF-8 line; the engine API
             // takes &str, so re-view (a scan on this cold-enough write
             // path, never a copy).
-            let outcome = match std::str::from_utf8(key) {
+            let outcome = phases.index(|| match std::str::from_utf8(key) {
                 Ok(key) => engine.set(
                     key,
                     crate::Item::with_ttl(
@@ -412,45 +489,74 @@ pub fn execute_ref(
                     ),
                 ),
                 Err(_) => StoreOutcome::NotStored,
-            };
-            if !noreply {
-                out.put(match outcome {
-                    StoreOutcome::Stored => &b"STORED\r\n"[..],
-                    StoreOutcome::NotStored => &b"NOT_STORED\r\n"[..],
-                });
-            }
+            });
+            phases.serialize(|| {
+                if !noreply {
+                    out.put(match outcome {
+                        StoreOutcome::Stored => &b"STORED\r\n"[..],
+                        StoreOutcome::NotStored => &b"NOT_STORED\r\n"[..],
+                    });
+                }
+            });
         }
         RequestRef::Delete { key, noreply } => {
-            let deleted = std::str::from_utf8(key)
-                .map(|key| engine.delete(key))
-                .unwrap_or(false);
-            if !noreply {
-                out.put(if deleted {
-                    &b"DELETED\r\n"[..]
-                } else {
-                    &b"NOT_FOUND\r\n"[..]
-                });
-            }
+            phases.tag(rp_obs::slow::OP_DELETE, Some(*key));
+            let deleted = phases.index(|| {
+                std::str::from_utf8(key)
+                    .map(|key| engine.delete(key))
+                    .unwrap_or(false)
+            });
+            phases.serialize(|| {
+                if !noreply {
+                    out.put(if deleted {
+                        &b"DELETED\r\n"[..]
+                    } else {
+                        &b"NOT_FOUND\r\n"[..]
+                    });
+                }
+            });
         }
         RequestRef::Stats => {
-            if let Some(reply) = execute_via(engine, Command::Stats, ctx) {
-                reply.write_to(out);
+            phases.tag(rp_obs::slow::OP_OTHER, None);
+            let stats = engine.stats();
+            out.put(b"STAT engine ");
+            out.put(engine.name().as_bytes());
+            out.put(b"\r\n");
+            for (name, value) in [
+                (&b"curr_items"[..], engine.len() as u64),
+                (b"get_hits", stats.hits()),
+                (b"get_misses", stats.misses()),
+                (b"evictions", stats.evicted()),
+            ] {
+                out.put(b"STAT ");
+                out.put(name);
+                out.put(b" ");
+                put_decimal(out, value);
+                out.put(b"\r\n");
+            }
+            out.put(b"END\r\n");
+        }
+        RequestRef::StatsProm(sub) => {
+            phases.tag(rp_obs::slow::OP_OTHER, None);
+            match sub {
+                StatsSub::Render => telemetry::render_prometheus(engine, out),
+                StatsSub::Reset => telemetry::reset(engine, out),
+                StatsSub::Trace(limit) => telemetry::render_trace(*limit, out),
+                StatsSub::Slow => telemetry::render_slow(out),
+                StatsSub::Json => telemetry::render_json(engine, out),
+                StatsSub::Worker(n) => telemetry::render_worker(*n, out),
             }
         }
-        RequestRef::StatsProm(sub) => match sub {
-            StatsSub::Render => telemetry::render_prometheus(engine, out),
-            StatsSub::Reset => telemetry::reset(engine, out),
-            StatsSub::Trace(limit) => telemetry::render_trace(*limit, out),
-            StatsSub::Slow => telemetry::render_slow(out),
-            StatsSub::Json => telemetry::render_json(engine, out),
-            StatsSub::Worker(n) => telemetry::render_worker(*n, out),
-        },
         RequestRef::Version => {
+            phases.tag(rp_obs::slow::OP_OTHER, None);
             out.put(b"VERSION ");
             out.put(SERVER_VERSION.as_bytes());
             out.put(b"\r\n");
         }
-        RequestRef::Quit => return true,
+        RequestRef::Quit => {
+            phases.tag(rp_obs::slow::OP_OTHER, None);
+            return true;
+        }
     }
     false
 }
@@ -472,9 +578,10 @@ fn hash_key(key: &[u8]) -> u64 {
 /// time feeds the opcode's latency histogram, and if it clears the slow
 /// threshold the whole span (worker, request id, opcode, key hash, phase
 /// breakdown) lands in the slow-request log served by `STATS SLOW`.
-/// Unsampled requests run the identical zero-allocation path as before —
-/// no clock reads, no span — so the sampling tick bounds the entire
-/// telemetry cost; `--stats off` skips the clock reads even when sampled.
+/// Unsampled requests run the same execution body with its phase hooks
+/// compiled away — no clock reads, no span — so the sampling tick bounds
+/// the entire telemetry cost; `--stats off` skips the clock reads even
+/// when sampled.
 ///
 /// `worker` names the serving thread in slow-log entries (reactor ordinal
 /// in event-loop mode, connection fd in threaded mode — matching the
@@ -500,7 +607,7 @@ pub(crate) fn execute_ref_observed(
         decode_ns,
         ..Default::default()
     };
-    let quit = execute_ref_spanned(engine, request, ctx, out, &mut span);
+    let quit = execute_phased(engine, request, ctx, out, &mut span);
     if let Some(ns) = rp_obs::elapsed_ns(timer) {
         let hist = match request {
             RequestRef::Get { .. } | RequestRef::GetMulti(_) => &kv.get_ns,
@@ -515,285 +622,54 @@ pub(crate) fn execute_ref_observed(
     quit
 }
 
-/// [`execute_ref`] with per-phase timing filled into `span`: the engine
-/// call is the *index* phase, response serialisation is the *serialize*
-/// phase. Only the sampled 1-in-[`rp_obs::LATENCY_SAMPLE`] requests come
-/// through here, so the extra clock reads never touch the common path.
-/// Cold opcodes (stats, version, quit) delegate to [`execute_ref`]
-/// unphased and are tagged [`rp_obs::slow::OP_OTHER`].
-fn execute_ref_spanned(
-    engine: &dyn CacheEngine,
-    request: &RequestRef<'_>,
-    ctx: &mut EngineReadCtx,
-    out: &mut impl BufWrite,
-    span: &mut rp_obs::SlowSpan,
-) -> bool {
-    match request {
-        RequestRef::Get { key } => {
-            span.op = rp_obs::slow::OP_GET;
-            span.key_hash = hash_key(key);
-            let index = rp_obs::timer();
-            let item = engine.get_ref(key, ctx);
-            span.index_ns = rp_obs::elapsed_ns(index).unwrap_or(0);
-            let serialize = rp_obs::timer();
-            if let Some(item) = item {
-                write_value_header(out, key, item.flags, item.data.len());
-                out.put_shared(item.data);
-                out.put(b"\r\n");
-            }
-            out.put(b"END\r\n");
-            span.serialize_ns = rp_obs::elapsed_ns(serialize).unwrap_or(0);
-        }
-        RequestRef::GetMulti(keys) => {
-            span.op = rp_obs::slow::OP_GET;
-            span.key_hash = keys.iter().next().map(hash_key).unwrap_or(0);
-            for key in keys.iter() {
-                let index = rp_obs::timer();
-                let item = engine.get_ref(key, ctx);
-                span.index_ns += rp_obs::elapsed_ns(index).unwrap_or(0);
-                let serialize = rp_obs::timer();
-                if let Some(item) = item {
-                    write_value_header(out, key, item.flags, item.data.len());
-                    out.put_shared(item.data);
-                    out.put(b"\r\n");
-                }
-                span.serialize_ns += rp_obs::elapsed_ns(serialize).unwrap_or(0);
-            }
-            let serialize = rp_obs::timer();
-            out.put(b"END\r\n");
-            span.serialize_ns += rp_obs::elapsed_ns(serialize).unwrap_or(0);
-        }
-        RequestRef::Set {
-            key,
-            flags,
-            exptime,
-            data,
-            noreply,
-        } => {
-            span.op = rp_obs::slow::OP_SET;
-            span.key_hash = hash_key(key);
-            let index = rp_obs::timer();
-            let outcome = match std::str::from_utf8(key) {
-                Ok(key) => engine.set(
-                    key,
-                    crate::Item::with_ttl(
-                        *flags,
-                        Bytes::copy_from_slice(data),
-                        Duration::from_secs(*exptime),
-                    ),
-                ),
-                Err(_) => StoreOutcome::NotStored,
-            };
-            span.index_ns = rp_obs::elapsed_ns(index).unwrap_or(0);
-            let serialize = rp_obs::timer();
-            if !noreply {
-                out.put(match outcome {
-                    StoreOutcome::Stored => &b"STORED\r\n"[..],
-                    StoreOutcome::NotStored => &b"NOT_STORED\r\n"[..],
-                });
-            }
-            span.serialize_ns = rp_obs::elapsed_ns(serialize).unwrap_or(0);
-        }
-        RequestRef::Delete { key, noreply } => {
-            span.op = rp_obs::slow::OP_DELETE;
-            span.key_hash = hash_key(key);
-            let index = rp_obs::timer();
-            let deleted = std::str::from_utf8(key)
-                .map(|key| engine.delete(key))
-                .unwrap_or(false);
-            span.index_ns = rp_obs::elapsed_ns(index).unwrap_or(0);
-            let serialize = rp_obs::timer();
-            if !noreply {
-                out.put(if deleted {
-                    &b"DELETED\r\n"[..]
-                } else {
-                    &b"NOT_FOUND\r\n"[..]
-                });
-            }
-            span.serialize_ns = rp_obs::elapsed_ns(serialize).unwrap_or(0);
-        }
-        _ => {
-            span.op = rp_obs::slow::OP_OTHER;
-            return execute_ref(engine, request, ctx, out);
-        }
-    }
-    false
-}
-
-/// Executes a command against the engine, returning the reply to send (or
-/// `None` for `noreply` commands). GETs use the engine's default (EBR)
-/// read path; servers with per-thread read-side contexts call
-/// [`execute_via`] instead.
-pub fn execute(engine: &dyn CacheEngine, command: Command) -> Option<Response> {
-    execute_via(engine, command, &mut EngineReadCtx::ebr())
-}
-
-/// [`execute`] with an explicit read-side context: GET lookups go through
-/// [`CacheEngine::get_via`] / [`CacheEngine::get_many_via`], so a QSBR
-/// context serves them through the engine's barrier-free read path. All
-/// other commands are unaffected — writes always go through the engine's
-/// writer side.
-pub fn execute_via(
-    engine: &dyn CacheEngine,
-    command: Command,
-    ctx: &mut EngineReadCtx,
-) -> Option<Response> {
-    match command {
-        Command::Get(keys) => {
-            // Single-key GETs (the dominant op) stay on the allocation-free
-            // direct path; multi-key GETs go through the engine's batched
-            // path (the sharded engine groups keys by shard; other engines
-            // loop).
-            let values = if let [key] = &keys[..] {
-                match engine.get_via(key, ctx) {
-                    Some(item) => {
-                        let [key] = <[String; 1]>::try_from(keys).expect("one key");
-                        vec![(key, item.flags, item.data)]
-                    }
-                    None => Vec::new(),
-                }
-            } else {
-                let items = {
-                    let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-                    engine.get_many_via(&key_refs, ctx)
-                };
-                keys.into_iter()
-                    .zip(items)
-                    .filter_map(|(key, item)| item.map(|item| (key, item.flags, item.data)))
-                    .collect()
-            };
-            Some(Response::Values(values))
-        }
-        Command::Set {
-            noreply, ref key, ..
-        } => {
-            let item = command
-                .to_item()
-                .expect("set command always builds an item");
-            let outcome = engine.set(key, item);
-            if noreply {
-                None
-            } else {
-                Some(match outcome {
-                    StoreOutcome::Stored => Response::Stored,
-                    StoreOutcome::NotStored => Response::NotStored,
-                })
-            }
-        }
-        Command::Delete { key, noreply } => {
-            let deleted = engine.delete(&key);
-            if noreply {
-                None
-            } else {
-                Some(if deleted {
-                    Response::Deleted
-                } else {
-                    Response::NotFound
-                })
-            }
-        }
-        Command::Stats => {
-            let stats = engine.stats();
-            Some(Response::Stats(vec![
-                ("engine".to_string(), engine.name().to_string()),
-                ("curr_items".to_string(), engine.len().to_string()),
-                ("get_hits".to_string(), stats.hits().to_string()),
-                ("get_misses".to_string(), stats.misses().to_string()),
-                ("evictions".to_string(), stats.evicted().to_string()),
-            ]))
-        }
-        Command::StatsProm(sub) => {
-            // The owned path renders into a buffer; Response::Raw carries
-            // the pre-rendered bytes verbatim.
-            let mut buf = Vec::new();
-            match sub {
-                StatsSub::Render => telemetry::render_prometheus(engine, &mut buf),
-                StatsSub::Reset => telemetry::reset(engine, &mut buf),
-                StatsSub::Trace(limit) => telemetry::render_trace(limit, &mut buf),
-                StatsSub::Slow => telemetry::render_slow(&mut buf),
-                StatsSub::Json => telemetry::render_json(engine, &mut buf),
-                StatsSub::Worker(n) => telemetry::render_worker(n, &mut buf),
-            }
-            Some(Response::Raw(Bytes::from(buf)))
-        }
-        Command::Version => Some(Response::Version(SERVER_VERSION.to_string())),
-        Command::Quit => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{parse_request_ref, RefOutcome};
     use crate::{Item, LockEngine, RpEngine};
-    use bytes::Bytes;
+
+    /// Parses one complete request from `wire` and executes it, returning
+    /// the reply bytes and whether the connection should close.
+    fn run(engine: &dyn CacheEngine, wire: &[u8]) -> (Vec<u8>, bool) {
+        let RefOutcome::Complete { request, .. } = parse_request_ref(wire) else {
+            panic!("{wire:?} did not parse");
+        };
+        let mut out = Vec::new();
+        let quit = execute_ref(engine, &request, &mut EngineReadCtx::ebr(), &mut out);
+        (out, quit)
+    }
+
+    fn reply(engine: &dyn CacheEngine, wire: &[u8]) -> Vec<u8> {
+        run(engine, wire).0
+    }
 
     #[test]
     fn execute_get_set_delete() {
         let engine = LockEngine::new();
-        let reply = execute(
-            &engine,
-            Command::Set {
-                key: "k".into(),
-                flags: 2,
-                exptime: 0,
-                data: Bytes::from_static(b"v"),
-                noreply: false,
-            },
-        );
-        assert_eq!(reply, Some(Response::Stored));
-
-        let reply = execute(&engine, Command::Get(vec!["k".into(), "missing".into()]));
+        assert_eq!(reply(&engine, b"set k 2 0 1\r\nv\r\n"), b"STORED\r\n");
         assert_eq!(
-            reply,
-            Some(Response::Values(vec![(
-                "k".into(),
-                2,
-                Bytes::from_static(b"v")
-            )]))
+            reply(&engine, b"get k missing\r\n"),
+            b"VALUE k 2 1\r\nv\r\nEND\r\n"
         );
-
-        assert_eq!(
-            execute(
-                &engine,
-                Command::Delete {
-                    key: "k".into(),
-                    noreply: false
-                }
-            ),
-            Some(Response::Deleted)
-        );
-        assert_eq!(
-            execute(
-                &engine,
-                Command::Delete {
-                    key: "k".into(),
-                    noreply: false
-                }
-            ),
-            Some(Response::NotFound)
-        );
+        assert_eq!(reply(&engine, b"delete k\r\n"), b"DELETED\r\n");
+        assert_eq!(reply(&engine, b"delete k\r\n"), b"NOT_FOUND\r\n");
+        assert_eq!(reply(&engine, b"get k\r\n"), b"END\r\n");
     }
 
     #[test]
     fn noreply_commands_return_nothing() {
         let engine = RpEngine::new();
         assert_eq!(
-            execute(
-                &engine,
-                Command::Set {
-                    key: "a".into(),
-                    flags: 0,
-                    exptime: 0,
-                    data: Bytes::from_static(b"1"),
-                    noreply: true,
-                }
-            ),
-            None
+            run(&engine, b"set a 0 0 1 noreply\r\n1\r\n"),
+            (Vec::new(), false)
         );
         assert_eq!(
             engine.get("a").map(|i| i.data),
             Some(Bytes::from_static(b"1"))
         );
+        assert_eq!(run(&engine, b"delete a noreply\r\n"), (Vec::new(), false));
+        assert_eq!(engine.get("a"), None);
+        assert_eq!(run(&engine, b"quit\r\n"), (Vec::new(), true));
     }
 
     #[test]
@@ -801,16 +677,15 @@ mod tests {
         let engine = RpEngine::new();
         engine.set("x", Item::new(0, "y"));
         engine.get("x");
-        match execute(&engine, Command::Stats) {
-            Some(Response::Stats(stats)) => {
-                assert!(stats.iter().any(|(k, v)| k == "engine" && v == "rp"));
-                assert!(stats.iter().any(|(k, v)| k == "get_hits" && v == "1"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        engine.get("nope");
         assert_eq!(
-            execute(&engine, Command::Version),
-            Some(Response::Version(SERVER_VERSION.to_string()))
+            reply(&engine, b"stats\r\n"),
+            b"STAT engine rp\r\nSTAT curr_items 1\r\nSTAT get_hits 1\r\n\
+              STAT get_misses 1\r\nSTAT evictions 0\r\nEND\r\n"
+        );
+        assert_eq!(
+            reply(&engine, b"version\r\n"),
+            b"VERSION relativist-kvcache 0.1.0\r\n"
         );
     }
 }

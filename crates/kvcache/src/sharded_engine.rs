@@ -1,9 +1,7 @@
 //! The sharded relativistic engine: the [`RpEngine`](crate::RpEngine)
 //! architecture with a [`ShardedRpMap`] index, so SETs and automatic
-//! resizes of the index only contend within one shard, and multi-key GETs
-//! use the batched, shard-grouped read path.
+//! resizes of the index only contend within one shard.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -13,15 +11,14 @@ use rp_shard::{ShardPolicy, ShardedRpMap};
 
 use crate::engine::{CacheEngine, CacheStats, EngineReadCtx, StoreOutcome};
 use crate::item::Item;
-use crate::rp_engine::{classify_probe, EngineCore, RawProbe, StoredItem};
+use crate::rp_engine::{probe_ref, str_bytes_hash, EngineCore, StoredItem};
 
 /// A cache engine whose index is a [`ShardedRpMap`].
 ///
 /// GETs are the same wait-free relativistic lookups as
-/// [`RpEngine`](crate::RpEngine); a multi-key GET
-/// ([`CacheEngine::get_many`]) groups keys by shard and pins one guard per
-/// shard. SETs, deletes and index resizes serialise only within the target
-/// key's shard, so write throughput scales with the shard count.
+/// [`RpEngine`](crate::RpEngine), routed to a shard by the key's hash.
+/// SETs, deletes and index resizes serialise only within the target key's
+/// shard, so write throughput scales with the shard count.
 ///
 /// **Background resizes are on by default**: index resizes are driven by an
 /// `rp-maint` maintenance thread, so a SET that pushes a shard past its
@@ -135,24 +132,6 @@ impl ShardedRpEngine {
     pub fn shard_lens(&self) -> Vec<usize> {
         self.index.stats().shard_lens
     }
-
-    /// Applies the shared per-key accounting to a batched lookup's slots
-    /// (`Some(Some(_))` live hit, `Some(None)` present-but-expired, `None`
-    /// miss), removing expired entries through the writer side.
-    fn settle_batch(&self, stored: Vec<Option<Option<Item>>>, keys: &[&str]) -> Vec<Option<Item>> {
-        stored
-            .into_iter()
-            .zip(keys)
-            .map(|(slot, key)| {
-                let probe = match slot {
-                    Some(Some(item)) => RawProbe::Live(item),
-                    Some(None) => RawProbe::Expired,
-                    None => RawProbe::Miss,
-                };
-                self.core.settle(probe, || self.index.remove(*key))
-            })
-            .collect()
-    }
 }
 
 impl CacheEngine for ShardedRpEngine {
@@ -160,68 +139,7 @@ impl CacheEngine for ShardedRpEngine {
         "rp-shard"
     }
 
-    fn get(&self, key: &str) -> Option<Item> {
-        let now = Instant::now();
-        let stamp = self.core.stamp();
-        let probe = {
-            let guard = self.index.pin();
-            classify_probe(self.index.get(key, &guard), now, stamp)
-        };
-        self.core.settle(probe, || self.index.remove(key))
-    }
-
-    fn get_many(&self, keys: &[&str]) -> Vec<Option<Item>> {
-        let now = Instant::now();
-        let stamp = self.core.stamp();
-        // The batched read path: keys grouped by shard, one guard pin per
-        // shard. Expired entries are copied out as None and deleted on the
-        // slow path afterwards, preserving per-key `get` semantics.
-        let stored = self.index.multi_get_with(keys, |found| {
-            if found.item.is_expired(now) {
-                None
-            } else {
-                found.last_access.store(stamp, Ordering::Relaxed);
-                Some(found.item.clone())
-            }
-        });
-        self.settle_batch(stored, keys)
-    }
-
-    fn get_via(&self, key: &str, ctx: &mut EngineReadCtx) -> Option<Item> {
-        // Flavor check first so the EBR fallback does not pay for a
-        // timestamp and clock stamp it recomputes inside `get`.
-        let Some(handle) = ctx.qsbr_handle() else {
-            return self.get(key);
-        };
-        let now = Instant::now();
-        let stamp = self.core.stamp();
-        let probe = classify_probe(self.index.get_qsbr(key, handle), now, stamp);
-        self.core.settle(probe, || self.index.remove(key))
-    }
-
-    fn get_many_via(&self, keys: &[&str], ctx: &mut EngineReadCtx) -> Vec<Option<Item>> {
-        let Some(handle) = ctx.qsbr_handle() else {
-            return self.get_many(keys);
-        };
-        let now = Instant::now();
-        let stamp = self.core.stamp();
-        // The QSBR batch: every key served inside one quiescent window (the
-        // borrow of the worker's handle), with no per-shard guard pins at
-        // all. Expired entries are copied out as None and deleted on the
-        // slow path afterwards, preserving per-key `get` semantics.
-        let stored = self.index.multi_get_with_qsbr(keys, handle, |found| {
-            if found.item.is_expired(now) {
-                None
-            } else {
-                found.last_access.store(stamp, Ordering::Relaxed);
-                Some(found.item.clone())
-            }
-        });
-        self.settle_batch(stored, keys)
-    }
-
     fn get_ref(&self, key: &[u8], ctx: &mut EngineReadCtx) -> Option<Item> {
-        use crate::rp_engine::{probe_ref, str_bytes_hash};
         // One hashing pass drives shard routing and the in-shard probe; the
         // borrowed key is never copied. Dispatch and accounting are shared
         // with RpEngine (`probe_ref`/`EngineCore::settle`); only the index
@@ -280,6 +198,7 @@ impl CacheEngine for ShardedRpEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
     use std::time::Duration;
 
     #[test]

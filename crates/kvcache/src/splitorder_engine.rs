@@ -10,7 +10,7 @@ use rp_splitorder::SplitOrderMap;
 
 use crate::engine::{CacheEngine, CacheStats, EngineReadCtx, StoreOutcome};
 use crate::item::Item;
-use crate::rp_engine::{classify_probe, probe_ref, str_bytes_hash, EngineCore, StoredItem};
+use crate::rp_engine::{probe_ref, str_bytes_hash, EngineCore, StoredItem};
 
 /// The split-ordered engine: the index is a lock-free split-ordered list,
 /// so **SETs and DELETEs never serialise on a writer lock** and index
@@ -55,29 +55,6 @@ impl SplitOrderEngine {
 impl CacheEngine for SplitOrderEngine {
     fn name(&self) -> &'static str {
         "splitorder"
-    }
-
-    fn get(&self, key: &str) -> Option<Item> {
-        let now = Instant::now();
-        let stamp = self.core.stamp();
-        let probe = {
-            let guard = self.index.pin();
-            classify_probe(self.index.get(key, &guard), now, stamp)
-        };
-        self.core.settle(probe, || self.index.remove(key))
-    }
-
-    fn get_via(&self, key: &str, ctx: &mut EngineReadCtx) -> Option<Item> {
-        // The QSBR handle is just another `ReadProtect` witness for the
-        // split-ordered lookup; the EBR fallback computes its own stamps
-        // inside `get`.
-        let Some(handle) = ctx.qsbr_handle() else {
-            return self.get(key);
-        };
-        let now = Instant::now();
-        let stamp = self.core.stamp();
-        let probe = classify_probe(self.index.get(key, handle), now, stamp);
-        self.core.settle(probe, || self.index.remove(key))
     }
 
     fn get_ref(&self, key: &[u8], ctx: &mut EngineReadCtx) -> Option<Item> {

@@ -76,42 +76,6 @@ where
         results
     }
 
-    /// Looks up every key in `keys` (given by reference, so unsized key
-    /// views like `str` work) and applies `f` to each found value *inside*
-    /// that shard's read-side critical section, returning the outputs in
-    /// caller order.
-    ///
-    /// This is the batched form of the relativistic "copy out what you
-    /// need" pattern ([`rp_hash::RpHashMap::get_with`]): the values
-    /// themselves need not be `Clone`.
-    pub fn multi_get_with<Q, F, R>(&self, keys: &[&Q], mut f: F) -> Vec<Option<R>>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-        F: FnMut(&V) -> R,
-    {
-        let mut results: Vec<Option<R>> = Vec::with_capacity(keys.len());
-        results.resize_with(keys.len(), || None);
-
-        let mut groups: Vec<Vec<(u64, usize)>> = vec![Vec::new(); self.shard_count()];
-        for (idx, key) in keys.iter().enumerate() {
-            let hash = self.hash_of(*key);
-            groups[self.shard_of_hash(hash)].push((hash, idx));
-        }
-
-        for (shard_idx, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let guard = rp_rcu::pin();
-            let shard = self.shard(shard_idx);
-            for (hash, idx) in group {
-                results[idx] = shard.get_prehashed(hash, keys[idx], &guard).map(&mut f);
-            }
-        }
-        results
-    }
-
     /// Looks up every key in `keys` through the QSBR read path, returning
     /// cloned values in caller order.
     ///
@@ -151,31 +115,6 @@ where
                 self.shard(self.shard_of_hash(hash))
                     .get_prehashed(hash, key, handle)
                     .cloned()
-            })
-            .collect()
-    }
-
-    /// The QSBR counterpart of [`ShardedRpMap::multi_get_with`]: looks up
-    /// every key under the single quiescent window of `handle` and applies
-    /// `f` to each found value, returning outputs in caller order. The
-    /// values need not be `Clone`.
-    pub fn multi_get_with_qsbr<Q, F, R>(
-        &self,
-        keys: &[&Q],
-        handle: &QsbrReadHandle,
-        mut f: F,
-    ) -> Vec<Option<R>>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-        F: FnMut(&V) -> R,
-    {
-        keys.iter()
-            .map(|key| {
-                let hash = self.hash_of(*key);
-                self.shard(self.shard_of_hash(hash))
-                    .get_prehashed(hash, *key, handle)
-                    .map(&mut f)
             })
             .collect()
     }
@@ -301,11 +240,6 @@ mod tests {
         let qsbr = map.multi_get_qsbr(&keys, &handle);
         handle.quiescent_state();
         assert_eq!(qsbr, map.multi_get(&keys));
-        let key_refs: Vec<&u64> = keys.iter().collect();
-        let with = map.multi_get_with_qsbr(&key_refs, &handle, |v| *v + 1);
-        for (i, got) in with.iter().enumerate() {
-            assert_eq!(*got, qsbr[i].map(|v| v + 1));
-        }
     }
 
     #[test]
