@@ -32,6 +32,8 @@
 //! maintenance thread
 //! (`rp-maint`) behind the `rp-shard` engine; `--maint off` reverts to
 //! inline resizing (writers absorb the grace-period waits themselves).
+//! The on/off switches `--maint` and `--stats` read `off`, `0`, `false`
+//! and `no` (any case) as off and anything else as on.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -243,11 +245,7 @@ impl ServerOptions {
             opts.capacity = parse_num::<usize>(&v, "--capacity")?.max(1);
         }
         if let Some(v) = maint {
-            let on = !matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "off" | "0" | "false" | "no"
-            );
-            opts.maint = on.then(MaintConfig::default);
+            opts.maint = switch_on(&v).then(MaintConfig::default);
         }
         if let Some(config) = opts.maint.as_mut() {
             if let Some(v) = maint_workers {
@@ -284,10 +282,7 @@ impl ServerOptions {
             opts.max_total_bytes = if n > 0 { n } else { usize::MAX };
         }
         if let Some(v) = stats {
-            opts.stats = !matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "off" | "0" | "false" | "no"
-            );
+            opts.stats = switch_on(&v);
         }
         Ok(opts)
     }
@@ -321,6 +316,15 @@ impl ServerOptions {
             max_total_bytes: self.max_total_bytes,
         }
     }
+}
+
+/// An on/off switch value: `off`, `0`, `false` and `no` (any case,
+/// surrounding blanks ignored) turn it off; anything else leaves it on.
+fn switch_on(value: &str) -> bool {
+    !matches!(
+        value.trim().to_ascii_lowercase().as_str(),
+        "off" | "0" | "false" | "no"
+    )
 }
 
 fn parse_num<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, String> {
@@ -499,6 +503,31 @@ mod tests {
         // of the --maint-* family.
         let opts = ServerOptions::parse(&strings(&["--maint", "off"]), &env).unwrap();
         assert!(opts.maint.is_none());
+    }
+
+    #[test]
+    fn switches_parse_every_spelling_from_flag_and_env() {
+        let on = ["on", "1"];
+        let off = ["off", "OFF", "0", "false", "no", " Off "];
+        for value in on.into_iter().chain(off) {
+            let expected = on.contains(&value);
+            let env = |name: &str| {
+                matches!(name, "RP_KV_MAINT" | "RP_KV_STATS").then(|| value.to_string())
+            };
+            let flags = strings(&["--maint", value, "--stats", value]);
+            for opts in [
+                ServerOptions::parse(&flags, &no_env).unwrap(),
+                ServerOptions::parse(&[], &env).unwrap(),
+            ] {
+                assert_eq!(opts.maint.is_some(), expected, "maint {value:?}");
+                assert_eq!(opts.stats, expected, "stats {value:?}");
+            }
+        }
+        let unset = ServerOptions::parse(&[], &no_env).unwrap();
+        assert!(
+            unset.maint.is_some() && unset.stats,
+            "unset switches are on"
+        );
     }
 
     #[test]

@@ -130,6 +130,10 @@ impl EngineReadCtx {
     }
 }
 
+/// Largest payload a SET stores (memcached's default 1 MiB item limit);
+/// a larger one is [`StoreOutcome::NotStored`].
+pub(crate) const MAX_ITEM_SIZE: usize = 1 << 20;
+
 /// Outcome of a store operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreOutcome {
@@ -267,8 +271,8 @@ pub trait CacheEngine: Send + Sync {
     /// Operation counters.
     fn stats(&self) -> &CacheStats;
 
-    /// Removes expired items eagerly (both engines also expire lazily on
-    /// GET). Returns how many were removed.
+    /// Removes expired items eagerly (every engine also expires them
+    /// lazily on GET). Returns how many were removed.
     fn purge_expired(&self) -> usize;
 
     /// Scrape-time hook: push engine-derived level gauges (e.g. shard

@@ -5,26 +5,8 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::engine::{CacheEngine, CacheStats, EngineReadCtx, StoreOutcome};
+use crate::engine::{CacheEngine, CacheStats, EngineReadCtx, StoreOutcome, MAX_ITEM_SIZE};
 use crate::item::Item;
-
-/// Configuration shared by both engines.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct EngineConfig {
-    /// Maximum number of items before eviction kicks in.
-    pub(crate) capacity: usize,
-    /// Maximum payload size accepted for a single item.
-    pub(crate) max_item_size: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            capacity: 1 << 20,
-            max_item_size: 1 << 20,
-        }
-    }
-}
 
 struct Slot {
     item: Item,
@@ -45,7 +27,8 @@ struct Inner {
 /// effect the paper's memcached figure demonstrates.
 pub struct LockEngine {
     inner: Mutex<Inner>,
-    config: EngineConfig,
+    /// Maximum number of items before eviction kicks in.
+    capacity: usize,
     stats: CacheStats,
 }
 
@@ -69,16 +52,13 @@ impl LockEngine {
                 map: HashMap::new(),
                 clock: 0,
             }),
-            config: EngineConfig {
-                capacity: capacity.max(1),
-                ..EngineConfig::default()
-            },
+            capacity: capacity.max(1),
             stats: CacheStats::default(),
         }
     }
 
     fn evict_if_needed(&self, inner: &mut Inner) {
-        while inner.map.len() > self.config.capacity {
+        while inner.map.len() > self.capacity {
             // Exact LRU under the global lock: find the slot with the oldest
             // access stamp. (memcached keeps an intrusive list; a scan keeps
             // this reproduction simple and happens only beyond capacity.)
@@ -137,7 +117,7 @@ impl CacheEngine for LockEngine {
     }
 
     fn set(&self, key: &str, item: Item) -> StoreOutcome {
-        if item.len() > self.config.max_item_size {
+        if item.len() > MAX_ITEM_SIZE {
             return StoreOutcome::NotStored;
         }
         let mut inner = self.inner.lock();

@@ -15,6 +15,7 @@ use rp_kvcache::{
     CacheEngine, EngineReadCtx, Item, LockEngine, ReadSide, RpEngine, ShardedRpEngine,
     SplitOrderEngine,
 };
+use rp_maint::MaintConfig;
 
 const CAPACITY: usize = 256;
 
@@ -81,9 +82,7 @@ fn apply(engine: &dyn CacheEngine, op: Op) -> bool {
 fn relativistic_engines_evict_exactly_like_the_lru_reference() {
     let engines: Vec<Box<dyn CacheEngine>> = vec![
         Box::new(RpEngine::with_capacity(CAPACITY)),
-        Box::new(ShardedRpEngine::with_shards_capacity_and_maintenance(
-            4, CAPACITY, false,
-        )),
+        Box::new(ShardedRpEngine::with_options(4, CAPACITY, None)),
         Box::new(SplitOrderEngine::with_capacity(CAPACITY)),
     ];
     let reference = LockEngine::with_capacity(CAPACITY);
@@ -119,10 +118,10 @@ fn concurrent_evicting_sets_neither_deadlock_nor_over_evict() {
     const SETTERS: usize = 4;
     const ROUNDS: usize = 1_000;
 
-    let engine = Arc::new(ShardedRpEngine::with_shards_capacity_and_maintenance(
+    let engine = Arc::new(ShardedRpEngine::with_options(
         4,
         SMALL_CAPACITY,
-        true,
+        Some(MaintConfig::default()),
     ));
     let stop = Arc::new(AtomicBool::new(false));
     let reader = {
